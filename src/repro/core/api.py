@@ -226,7 +226,7 @@ def valuation_engine(
 
     ``pool=True`` gives the engine its own persistent
     :class:`~repro.importance.WorkerPool` (shared-memory data plane, no
-    fork-per-run); inside a :func:`valuation_pool` block the default
+    per-run pool); inside a :func:`valuation_pool` block the default
     (``pool=None``) leases a warm pool from the registry automatically.
 
     ``checkpoint=`` (a file path) makes valuation runs snapshot their

@@ -17,15 +17,19 @@ memoized utility cache
 
 supervised process fan-out
     Permutations (or subsets) are partitioned into chunks dispatched across
-    ``n_workers`` forked worker processes by a
-    :class:`~repro.importance.supervision.ChunkDispatcher`. The dispatcher
-    detects worker *crashes* (abnormal exit) and *hangs* (per-chunk
-    deadlines derived from observed chunk-latency quantiles), restarts dead
-    workers, and re-queues their unfinished chunks. Because every chunk is
-    a slice of pre-drawn orderings, re-execution is deterministic, and
-    results are merged **in chunk order** — so the floating-point
-    accumulation sequence, and therefore the returned values, is
-    bit-identical for any worker count and any crash/retry history.
+    the ``n_workers`` processes of a
+    :class:`~repro.importance.pool.WorkerPool` — the only parallel back
+    end. The pool is the engine's own, a borrowed one, one leased from the
+    active :func:`~repro.importance.pool.valuation_pool` registry, or else
+    a *per-run pool* opened for one call and closed when it returns. Its
+    :class:`~repro.importance.supervision.ChunkDispatcher` detects worker
+    *crashes* (abnormal exit) and *hangs* (per-chunk deadlines derived
+    from observed chunk-latency quantiles), restarts dead workers, and
+    re-queues their unfinished chunks. Because every chunk is a slice of
+    pre-drawn orderings, re-execution is deterministic, and results are
+    merged **in chunk order** — so the floating-point accumulation
+    sequence, and therefore the returned values, is bit-identical for any
+    worker count, any pool, and any crash/retry history.
 
 deterministic seeding
     All permutation orderings are pre-drawn in the driver from the single
@@ -71,6 +75,7 @@ which caching and sharding legitimately change.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import pickle
 import time
@@ -109,6 +114,11 @@ DEFAULT_CACHE_SIZE = 32768
 
 _MISSING = object()
 
+#: Chunks per worker in every fan-out: finer re-queue units and better
+#: latency-quantile estimates, at slightly more dispatch overhead. Does
+#: not affect returned values.
+_CHUNKS_PER_WORKER = 2
+
 # Fork-based fan-out inherits the parent's memory, so utilities holding
 # closures, frames, or fitted transformers need no pickling. On platforms
 # without fork (Windows/macOS-spawn) the *pool* still runs — shared memory
@@ -129,9 +139,9 @@ _NO_FORK_DETAILS = {
     "engine": (
         "engine fan-out (n_workers > 1) fell back to serial execution: the "
         "'fork' start method is unavailable and no worker pool could serve "
-        "this utility. Results are identical, only slower. A picklable "
-        "model/metric (or a valuation_pool() context) restores parallelism "
-        "via the shared-memory spawn pool."
+        "this utility. Results are identical, only slower. A standard "
+        "Utility with a picklable model/metric restores parallelism via "
+        "the shared-memory spawn pool."
     ),
     "map": (
         "parallel_map fell back to a serial loop: the 'fork' start method "
@@ -141,7 +151,7 @@ _NO_FORK_DETAILS = {
     "pool": (
         "a worker pool was requested but cannot serve this utility on this "
         "platform (arrays not shareable or model/metric not picklable, and "
-        "'fork' is unavailable); falling back to per-call fan-out or serial "
+        "'fork' is unavailable); falling back to a per-run pool or serial "
         "execution. Results are identical, only slower."
     ),
 }
@@ -204,10 +214,6 @@ class SubsetCache:
         while len(self._data) > self.max_size:
             self._data.popitem(last=False)
             self.evictions += 1
-
-    def snapshot(self) -> dict[tuple[int, ...], float]:
-        """Plain-dict copy shipped to workers at fork time."""
-        return dict(self._data)
 
     def stats(self) -> dict:
         total = self.hits + self.misses
@@ -316,58 +322,10 @@ def _scan_orderings(
     return deltas, truncated
 
 
-def _worker_evaluator(state: dict) -> tuple[Callable[[tuple[int, ...]], float], dict, list]:
-    """Cache-aware ``v(key)`` for a forked worker.
+class _PerRunPool(WorkerPool):
+    """A pool opened for one engine call and closed when it returns."""
 
-    The worker's cache starts as the parent's snapshot (inherited at fork)
-    and grows in place, so it persists across tasks within the process. New
-    entries and hit/miss counts are reported back for the parent to merge.
-    """
-    utility = state["utility"]
-    cache: dict = state["cache"]
-    new_entries: dict = {}
-    counters = [0, 0]  # hits, misses
-
-    def evaluate(key: tuple[int, ...]) -> float:
-        if key in cache:
-            counters[0] += 1
-            return cache[key]
-        counters[1] += 1
-        value = float(utility.evaluate(np.asarray(key, dtype=np.int64)))
-        cache[key] = value
-        new_entries[key] = value
-        return value
-
-    return evaluate, new_entries, counters
-
-
-def _permutation_chunk(state: dict, bounds: tuple[int, int]):
-    """Worker task: scan ``orderings[start:stop]`` (safe to re-execute)."""
-    start, stop = bounds
-    utility = state["utility"]
-    evals_before = utility.n_evaluations
-    evaluate, new_entries, counters = _worker_evaluator(state)
-    deltas, truncated = _scan_orderings(
-        evaluate,
-        state["orderings"][start:stop],
-        state["weights"],
-        state["truncation_tolerance"],
-        state["null"],
-        state["full"],
-    )
-    evals = utility.n_evaluations - evals_before
-    return start, deltas, truncated, new_entries, evals, counters
-
-
-def _subset_chunk(state: dict, bounds: tuple[int, int]):
-    """Worker task: evaluate ``keys[start:stop]`` (safe to re-execute)."""
-    start, stop = bounds
-    utility = state["utility"]
-    evals_before = utility.n_evaluations
-    evaluate, new_entries, counters = _worker_evaluator(state)
-    values = [evaluate(key) for key in state["keys"][start:stop]]
-    evals = utility.n_evaluations - evals_before
-    return start, values, new_entries, evals, counters
+    traces_lifecycle = False
 
 
 def _chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -388,10 +346,12 @@ class ValuationEngine:
         (``n_train``, ``evaluate(indices)``, ``n_evaluations``).
     n_workers:
         Worker processes for fan-out. ``1`` (the default) runs fully
-        serial, in-process. Values > 1 require a fork-capable platform and
-        fall back to serial elsewhere with a single ``RuntimeWarning``. The
-        returned values are identical for every worker count
-        (deterministic utilities).
+        serial, in-process. Values > 1 run every fan-out on a
+        :class:`~repro.importance.pool.WorkerPool` (see ``pool``); when no
+        pool can serve the utility — fork is unavailable and the utility
+        cannot cross a spawn boundary — the engine runs serially with a
+        single ``RuntimeWarning``. The returned values are identical for
+        every worker count (deterministic utilities).
     cache_size:
         LRU bound of the subset memo; ``0`` disables memoization.
     ledger:
@@ -408,28 +368,26 @@ class ValuationEngine:
     chunk_timeout_s:
         Hard per-chunk deadline for hang detection. Default None: deadlines
         adapt from observed chunk-latency quantiles (``hang_factor`` × the
-        p95 of recent chunk latencies, once enough samples exist).
+        p95 of recent chunk latencies, floored at the pool's
+        ``hang_floor_s``, once enough samples exist).
     hang_factor, max_chunk_retries, max_worker_restarts:
         Supervision knobs: the latency-quantile multiplier, the per-chunk
         retry budget (exhaustion raises
         :class:`~repro.importance.supervision.ChunkFailure`), and the
         engine-lifetime cap on worker restarts.
-    chunks_per_worker:
-        Chunk granularity of each fan-out: more chunks per worker means
-        finer re-queue units and better latency-quantile estimates at
-        slightly more dispatch overhead. Does not affect returned values.
     pool:
-        Where fan-outs execute. ``None`` (default): lease from the active
-        :func:`~repro.importance.pool.valuation_pool` registry when one is
-        installed, else fall back to per-call forked fleets. ``True``:
-        eagerly create an engine-owned
+        Which pool fan-outs run on. ``None`` (default): lease from the
+        active :func:`~repro.importance.pool.valuation_pool` registry when
+        one is installed, else open a *per-run pool* on entry to
+        :meth:`run_permutations` / :meth:`evaluate_many` and close it on
+        return. ``True``: eagerly create an engine-owned
         :class:`~repro.importance.pool.WorkerPool` (released by
         :meth:`close` / the engine's context manager; raises
         :class:`~repro.importance.pool.PoolUnavailable` if impossible). A
         :class:`~repro.importance.pool.WorkerPool` instance: borrow it
-        (caller keeps ownership). ``False``: never use a pool, even under
-        an active registry. Returned values are bit-identical in every
-        mode.
+        (caller keeps ownership). ``False``: never lease or borrow; every
+        fan-out gets a per-run pool, even under an active registry.
+        Returned values are bit-identical in every mode.
     chaos:
         Optional :class:`repro.errors.chaos.ChaosMonkey` whose seeded
         *worker-level* faults (crash-on-chunk, hang-on-chunk) are injected
@@ -448,14 +406,11 @@ class ValuationEngine:
         hang_factor: float = 8.0,
         max_chunk_retries: int = 3,
         max_worker_restarts: int = 32,
-        chunks_per_worker: int = 2,
         pool: Any | None = None,
         chaos: Any | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         self.utility = utility
         self.n_workers = int(n_workers)
         self.cache = SubsetCache(cache_size)
@@ -469,7 +424,6 @@ class ValuationEngine:
         self.hang_factor = float(hang_factor)
         self.max_chunk_retries = int(max_chunk_retries)
         self.max_worker_restarts = int(max_worker_restarts)
-        self.chunks_per_worker = int(chunks_per_worker)
         self.chaos = chaos
         #: Lifetime supervision counters (crashes, hangs, retries, restarts).
         self.supervision = SupervisionStats()
@@ -581,19 +535,6 @@ class ValuationEngine:
             evaluations=int(self.utility.n_evaluations) - evals0,
         )
 
-    def _supervision_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        """Bridge dispatcher events into obs metrics + chaos ground truth."""
-        if _obs.enabled():
-            _obs_metrics.counter(f"engine.supervision.{kind}").inc()
-        if (
-            self.chaos is not None
-            and kind in ("crash", "hang")
-            and hasattr(self.chaos, "record_worker_fault")
-        ):
-            planned = self.chaos.worker_fault(chunk_ord, attempt)
-            if planned is not None:
-                self.chaos.record_worker_fault(planned, chunk_ord)
-
     # ------------------------------------------------------------------ #
     # point evaluations                                                  #
     # ------------------------------------------------------------------ #
@@ -663,19 +604,26 @@ class ValuationEngine:
                 }
             )
 
-        if store is None:
-            return self._evaluate_many(keys)
-        out = np.empty(len(keys))
-        for start in range(0, len(keys), max(1, int(wave_size))):
-            stop = min(start + max(1, int(wave_size)), len(keys))
-            out[start:stop] = self._evaluate_many(keys[start:stop])
-            save(stop, finished=stop >= len(keys))
-        return out
+        pool, per_run = self._fan_out_pool(len(keys))
+        try:
+            if store is None:
+                return self._evaluate_many(keys, pool)
+            out = np.empty(len(keys))
+            for start in range(0, len(keys), max(1, int(wave_size))):
+                stop = min(start + max(1, int(wave_size)), len(keys))
+                out[start:stop] = self._evaluate_many(keys[start:stop], pool)
+                save(stop, finished=stop >= len(keys))
+            return out
+        finally:
+            if per_run:
+                pool.close()
 
-    def _evaluate_many(self, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    def _evaluate_many(
+        self, keys: Sequence[tuple[int, ...]], pool: WorkerPool | None
+    ) -> np.ndarray:
         with _obs.span("engine.evaluate_many", n_subsets=len(keys)) as sp:
             stats_before = self._stats_baseline()
-            if not self._parallel(len(keys)):
+            if pool is None or len(keys) <= 1:
                 out = np.asarray([self.evaluate(key) for key in keys])
                 self._record_stats_delta(stats_before)
                 return out
@@ -690,47 +638,24 @@ class ValuationEngine:
             sp.set(pending=len(pending))
             if pending:
                 bounds = _chunk_bounds(
-                    len(pending), self.n_workers * self.chunks_per_worker
+                    len(pending), self.n_workers * _CHUNKS_PER_WORKER
                 )
-                self._pool_metrics(bounds)
-                pool = self._resolve_pool()
-                if pool is not None:
-                    pool.sync_cache(self.cache._data)
-                    payloads = [
-                        {"kind": "subset", "keys": pending[a:b]}
-                        for a, b in bounds
-                    ]
-                    results = pool.dispatch(
-                        payloads, on_event=self._pool_event
+                results = self._dispatch(
+                    pool,
+                    [{"kind": "subset", "keys": pending[a:b]} for a, b in bounds],
+                )
+                for (a, b), result in zip(bounds, results):
+                    __, chunk_values, entries, evals, counters, __m = result
+                    self._merge_worker(
+                        dict(entries), evals, counters, count_lookups=False
                     )
-                    self.supervision.chunks_completed += len(payloads)
-                    for (a, b), result in zip(bounds, results):
-                        __, chunk_values, entries, evals, counters, __m = result
-                        self._merge_worker(
-                            dict(entries), evals, counters, count_lookups=False
-                        )
-                        # A warm worker may have answered from its local
-                        # cache (no new entry); the driver memo still
-                        # learns every requested subset.
-                        for key, value in zip(pending[a:b], chunk_values):
-                            values[key] = value
-                            self.cache.put(key, value)
-                    pool.sync_cache(self.cache._data)
-                else:
-                    state = {
-                        "utility": self.utility,
-                        "cache": self.cache.snapshot(),
-                        "keys": pending,
-                        "chaos": self.chaos,
-                    }
-                    with self._make_dispatcher(state, _subset_chunk) as dispatcher:
-                        results = dispatcher.dispatch(bounds)
-                    for start, chunk_values, new_entries, evals, counters in results:
-                        for key, value in zip(
-                            pending[start : start + len(chunk_values)], chunk_values
-                        ):
-                            values[key] = value
-                        self._merge_worker(new_entries, evals, counters, count_lookups=False)
+                    # A warm worker may have answered from its local cache
+                    # (no new entry); the driver memo still learns every
+                    # requested subset.
+                    for key, value in zip(pending[a:b], chunk_values):
+                        values[key] = value
+                        self.cache.put(key, value)
+                pool.sync_cache(self.cache._data)
             self._record_stats_delta(stats_before)
             return np.asarray([values[key] for key in keys])
 
@@ -912,10 +837,10 @@ class ValuationEngine:
             or progress_callback is not None
         )
         wave = max(1, int(check_every)) if bounded else n_permutations
-        # Either a WorkerPool (persistent fleet, shared-memory data plane)
-        # or a per-run ChunkDispatcher (legacy fork-per-run) — or None for
-        # serial. _scan_range routes on the type.
-        executor: WorkerPool | ChunkDispatcher | None = None
+        # The pool fan-outs run on (None: serial); a per-run pool dies with
+        # the run, any other pool outlives it.
+        executor: WorkerPool | None = None
+        per_run = False
 
         def save_checkpoint(finished: bool) -> None:
             if store is None:
@@ -940,20 +865,8 @@ class ValuationEngine:
             )
 
         try:
-            if not exhausted_at_entry and self._parallel(n_permutations - scanned):
-                executor = self._resolve_pool()
-                if executor is None:
-                    state = {
-                        "utility": self.utility,
-                        "cache": self.cache.snapshot(),
-                        "orderings": orderings,
-                        "weights": weights,
-                        "truncation_tolerance": truncation_tolerance,
-                        "null": null,
-                        "full": full,
-                        "chaos": self.chaos,
-                    }
-                    executor = self._make_dispatcher(state, _permutation_chunk)
+            if not exhausted_at_entry:
+                executor, per_run = self._fan_out_pool(n_permutations - scanned)
             start = scanned
             while start < n_permutations:
                 # Budgets already exhausted (e.g. a resumed run handed the
@@ -1041,8 +954,7 @@ class ValuationEngine:
                     and max_stderr <= convergence_tolerance
                 )
         finally:
-            # Per-run dispatchers die with the run; a pool outlives it.
-            if isinstance(executor, ChunkDispatcher):
+            if per_run:
                 executor.close()
             if _obs.enabled():
                 run_span.set(
@@ -1065,11 +977,7 @@ class ValuationEngine:
                     "n_permutations": n_permutations,
                     "seed": seed,
                     "n_workers": self.n_workers,
-                    "pool_mode": (
-                        executor.mode
-                        if isinstance(executor, WorkerPool)
-                        else None
-                    ),
+                    "pool_mode": executor.mode if executor is not None else None,
                     "antithetic": antithetic,
                     "truncation_tolerance": truncation_tolerance,
                     "convergence_tolerance": convergence_tolerance,
@@ -1139,18 +1047,45 @@ class ValuationEngine:
     # internals                                                          #
     # ------------------------------------------------------------------ #
 
-    def _parallel(self, n_tasks: int) -> bool:
+    def _fan_out_pool(self, n_tasks: int) -> tuple[WorkerPool | None, bool]:
+        """The pool a fan-out of ``n_tasks`` runs on (None: serial), and
+        whether it is a per-run pool the caller must close.
+
+        Owned, borrowed, and registry-leased pools come first. Otherwise a
+        per-run pool is opened, picking its mode like any pool (fork where
+        :data:`_FORK_CTX` exists, else spawn). It is never stored on the
+        engine, gets no ledger and no lifecycle span, and skips warmup
+        pings, which would consume the chunk ordinals chaos faults are
+        keyed on. Its restart budget is what remains of the
+        engine-lifetime cap.
+        """
         if self.n_workers <= 1 or n_tasks <= 1:
-            return False
-        if self._resolve_pool() is not None:
-            return True
-        if _FORK_CTX is None:
+            return None, False
+        pool = self._resolve_pool()
+        if pool is not None:
+            return pool, False
+        try:
+            pool = _PerRunPool(
+                self.utility,
+                n_workers=self.n_workers,
+                start_method="fork" if _FORK_CTX is not None else "spawn",
+                warmup=False,
+                chunk_timeout_s=self.chunk_timeout_s,
+                hang_factor=self.hang_factor,
+                max_chunk_retries=self.max_chunk_retries,
+                max_worker_restarts=max(
+                    0, self.max_worker_restarts - self.supervision.worker_restarts
+                ),
+                chaos=self.chaos,
+            )
+        except PoolUnavailable:
             _warn_no_fork("engine")
-            return False
-        return True
+            return None, False
+        return pool, True
 
     def _resolve_pool(self) -> WorkerPool | None:
-        """The pool fan-outs run on: owned, borrowed, or registry-leased."""
+        """The long-lived pool fan-outs run on: owned, borrowed, or
+        registry-leased."""
         pool = self._pool
         if pool is not None and not pool.closed:
             return pool
@@ -1168,13 +1103,28 @@ class ValuationEngine:
                 return None
         return None
 
-    def _pool_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
-        """Mirror a pool-run chunk's supervision events into this engine.
+    def _dispatch(self, pool: WorkerPool, payloads: list[dict]) -> list:
+        """Run chunk descriptors on ``pool``, in order, after syncing the
+        driver's cache warmth into the pool's journal."""
+        if _obs.enabled():
+            # Utilization: fraction of the configured pool this fan-out
+            # keeps busy (short waves can have fewer chunks than workers).
+            _obs_metrics.counter("engine.pool.tasks").inc(len(payloads))
+            _obs_metrics.histogram("engine.pool.utilization").observe(
+                min(1.0, len(payloads) / self.n_workers)
+            )
+        pool.sync_cache(self.cache._data)
+        results = pool.dispatch(payloads, on_event=self._pool_event)
+        self.supervision.chunks_completed += len(payloads)
+        return results
 
-        The pool's dispatcher accumulates into the *pool's* stats; engines
-        borrowing the fleet still need their own lifetime counters (ledger
-        events, census, ``worker_restarts``) to reflect what happened to
-        their chunks.
+    def _pool_event(self, kind: str, chunk_ord: int, attempt: int) -> None:
+        """Mirror a chunk's supervision event into this engine.
+
+        The pool's dispatcher accumulates into the *pool's* stats; the
+        engine keeps its own lifetime counters (ledger events, census,
+        ``worker_restarts``), bridges the event into obs metrics, and
+        records injected chaos faults as ground truth.
         """
         if kind == "crash":
             self.supervision.crashes += 1
@@ -1187,42 +1137,16 @@ class ValuationEngine:
         self.supervision.events.append(
             {"kind": kind, "chunk": chunk_ord, "attempt": attempt}
         )
-        self._supervision_event(kind, chunk_ord, attempt)
-
-    def _make_dispatcher(
-        self, state: dict, task_fn: Callable[[dict, Any], Any]
-    ) -> ChunkDispatcher:
-        return ChunkDispatcher(
-            _FORK_CTX,
-            self.n_workers,
-            state,
-            task_fn,
-            deadline=DeadlinePolicy(
-                hard_timeout_s=self.chunk_timeout_s, factor=self.hang_factor
-            ),
-            max_chunk_retries=self.max_chunk_retries,
-            max_worker_restarts=self.max_worker_restarts,
-            stats=self.supervision,
-            on_event=self._supervision_event,
-            telemetry_sink=self._absorb_telemetry,
-        )
-
-    def _absorb_telemetry(self, items: Sequence[tuple[int, int, Any]]) -> None:
-        """Merge worker telemetry from a fork-dispatcher fan-out: metric
-        deltas into the registry, spans adopted under per-slot ``worker[i]``
-        groups beneath the open wave span (same shape as the pool path)."""
-        groups: dict[int, Any] = {}
-        for slot, __chunk_id, delta in items:
-            _obs.merge_worker_telemetry(slot, delta, groups)
-
-    def _pool_metrics(self, bounds: Sequence[tuple[int, int]]) -> None:
         if _obs.enabled():
-            # Utilization: fraction of the configured pool this fan-out
-            # keeps busy (short waves can have fewer chunks than workers).
-            _obs_metrics.counter("engine.pool.tasks").inc(len(bounds))
-            _obs_metrics.histogram("engine.pool.utilization").observe(
-                min(1.0, len(bounds) / self.n_workers)
-            )
+            _obs_metrics.counter(f"engine.supervision.{kind}").inc()
+        if (
+            self.chaos is not None
+            and kind in ("crash", "hang")
+            and hasattr(self.chaos, "record_worker_fault")
+        ):
+            planned = self.chaos.worker_fault(chunk_ord, attempt)
+            if planned is not None:
+                self.chaos.record_worker_fault(planned, chunk_ord)
 
     def _draw_orderings(
         self, n_permutations: int, seed: int, antithetic: bool
@@ -1249,9 +1173,9 @@ class ValuationEngine:
         truncation_tolerance: float,
         null: float,
         full: float | None,
-        executor: "WorkerPool | ChunkDispatcher | None",
+        pool: WorkerPool | None,
     ) -> tuple[np.ndarray, int]:
-        if executor is None:
+        if pool is None:
             return _scan_orderings(
                 lambda key: self.evaluate(key),
                 orderings[start:stop],
@@ -1260,16 +1184,13 @@ class ValuationEngine:
                 null,
                 full,
             )
-        bounds = _chunk_bounds(
-            stop - start, self.n_workers * self.chunks_per_worker
-        )
-        self._pool_metrics(bounds)
-        if isinstance(executor, WorkerPool):
-            # Stream chunk descriptors only: the orderings slice plus scan
-            # knobs. The dataset crossed once, at pool creation; the
-            # driver's cache warmth rides along as journal deltas.
-            executor.sync_cache(self.cache._data)
-            payloads = [
+        # Stream chunk descriptors only: the orderings slice plus scan
+        # knobs. The dataset crossed once, at pool creation; the driver's
+        # cache warmth rides along as journal deltas.
+        bounds = _chunk_bounds(stop - start, self.n_workers * _CHUNKS_PER_WORKER)
+        results = self._dispatch(
+            pool,
+            [
                 {
                     "kind": "permutation",
                     "orderings": orderings[start + a : start + b],
@@ -1279,29 +1200,17 @@ class ValuationEngine:
                     "full": full,
                 }
                 for a, b in bounds
-            ]
-            results = executor.dispatch(payloads, on_event=self._pool_event)
-            self.supervision.chunks_completed += len(payloads)
-            deltas = np.concatenate([item[1] for item in results], axis=0)
-            truncated = 0
-            for __, __d, chunk_truncated, entries, evals, counters, __m in results:
-                truncated += chunk_truncated
-                self._merge_worker(
-                    dict(entries), evals, counters, count_lookups=True
-                )
-            # Post-merge sync: entries one worker evaluated reach its peers
-            # (and future engines leasing this pool) via the journal, so a
-            # warm pool answers from memory fleet-wide, not per process.
-            executor.sync_cache(self.cache._data)
-            return deltas, truncated
-        results = executor.dispatch(
-            [(start + a, start + b) for a, b in bounds]
+            ],
         )
         deltas = np.concatenate([item[1] for item in results], axis=0)
         truncated = 0
-        for __, __deltas, chunk_truncated, new_entries, evals, counters in results:
+        for __, __d, chunk_truncated, entries, evals, counters, __m in results:
             truncated += chunk_truncated
-            self._merge_worker(new_entries, evals, counters, count_lookups=True)
+            self._merge_worker(dict(entries), evals, counters, count_lookups=True)
+        # Post-merge sync: entries one worker evaluated reach its peers (and
+        # future engines leasing this pool) via the journal, so a warm pool
+        # answers from memory fleet-wide, not per process.
+        pool.sync_cache(self.cache._data)
         return deltas, truncated
 
     def _merge_worker(
@@ -1337,25 +1246,31 @@ class ValuationEngine:
 # generic fan-out                                                        #
 # ---------------------------------------------------------------------- #
 
-_MAP_STATE: tuple | None = None
-
-
-def _map_one(index: int):
-    func, items = _MAP_STATE
-    return func(items[index])
+def _map_task(state: dict, bounds: tuple[int, int]) -> tuple:
+    """Map-worker task: ``(values, None)`` for ``items[start:stop]``, or
+    ``(None, exc)`` when ``func`` raised — a deterministic error is the
+    caller's to see, not a crash for the dispatcher to retry."""
+    func, items = state["map"]
+    start, stop = bounds
+    try:
+        return [func(item) for item in items[start:stop]], None
+    except Exception as exc:
+        return None, exc
 
 
 def parallel_map(func: Callable, items: Sequence, n_workers: int = 1) -> list:
-    """``[func(x) for x in items]`` fanned out over worker processes.
+    """``[func(x) for x in items]`` on an open pool or a supervised forked fleet.
 
     Order-preserving. When a :class:`~repro.importance.pool.WorkerPool` is
     open (e.g. inside a :func:`~repro.importance.pool.valuation_pool`
     block) and ``func`` pickles, the map runs on that persistent fleet —
-    no per-call forking at all. Otherwise a forked fleet is created for
-    the call; because those workers are forked, ``func`` may then be a
+    no per-call forking at all. Otherwise a supervised
+    :class:`~repro.importance.supervision.ChunkDispatcher` forks a fleet
+    for the call that inherits ``(func, items)``, so ``func`` may be a
     closure over arbitrary state (frames, fitted models) without being
-    picklable — only the *returned* values must pickle. Falls back to a
-    serial loop when ``n_workers <= 1``, when neither a pool nor fork is
+    picklable — only the *returned* values must pickle. An exception
+    ``func`` raises reaches the caller as itself. Falls back to a serial
+    loop when ``n_workers <= 1``, when neither a pool nor fork is
     available (with a single ``RuntimeWarning`` per process), or for
     trivially small inputs.
     """
@@ -1368,23 +1283,34 @@ def parallel_map(func: Callable, items: Sequence, n_workers: int = 1) -> list:
             pickle.dumps(func)
         except Exception:
             # Closure over unpicklable state: the persistent fleet cannot
-            # receive it; fall through to fork-per-call (or serial).
+            # receive it; fall through to a forked fleet (or serial).
             pool = None
     if pool is not None:
         try:
             return pool.map(func, items, n_chunks=min(n_workers, len(items)))
         except ChunkFailure:
             # The fleet kept failing on this function (e.g. it unpickles
-            # only in the driver); a per-call forked fleet inherits it
-            # directly, so fall through rather than give up.
+            # only in the driver); a forked fleet inherits it directly, so
+            # fall through rather than give up.
             pool = None
     if _FORK_CTX is None:
         _warn_no_fork("map")
         return [func(item) for item in items]
-    global _MAP_STATE
-    _MAP_STATE = (func, items)
-    try:
-        with _FORK_CTX.Pool(processes=min(n_workers, len(items))) as mp_pool:
-            return mp_pool.map(_map_one, range(len(items)))
-    finally:
-        _MAP_STATE = None
+    n_workers = min(n_workers, len(items))
+    # Like a plain map, no hang deadline: one slow item is not a hang.
+    with ChunkDispatcher(
+        _FORK_CTX,
+        n_workers,
+        {"map": (func, items)},
+        _map_task,
+        deadline=DeadlinePolicy(hard_timeout_s=math.inf),
+    ) as dispatcher:
+        results = dispatcher.dispatch(
+            _chunk_bounds(len(items), n_workers * _CHUNKS_PER_WORKER)
+        )
+    out: list = []
+    for values, exc in results:
+        if exc is not None:
+            raise exc
+        out.extend(values)
+    return out

@@ -1,15 +1,16 @@
-"""Persistent worker pool for the valuation engine.
+"""Worker pools: the valuation engine's only parallel back end.
 
-The engine's original fan-out forked a fresh fleet per call: every
-``run_permutations`` / ``evaluate_many`` paid process creation, a subset
-cache snapshot, and (on worker restart) re-inheriting the whole driver
-address space. ``benchmarks/results/engine_speedup.json`` recorded the
-bill — a cold "speedup" *below 1×*. This module replaces that with the
-amortized substrate the Datascope line of work presupposes:
+Every parallel ``run_permutations`` / ``evaluate_many`` runs on a
+:class:`WorkerPool`. A long-lived pool — engine-owned, borrowed, or leased
+from a :class:`PoolRegistry` — pays process creation and data publication
+once and serves many runs; without one, the engine opens a *per-run pool*
+for the call and closes it on return. Either way the same supervised
+fleet, data plane, and cache-coherence protocol carry the chunks, which is
+the amortized substrate the Datascope line of work presupposes:
 
 :class:`WorkerPool`
-    A long-lived, supervised fleet created **once**. The training and
-    validation arrays are published a single time into a
+    A supervised fleet whose setup is paid **once** per pool. The
+    training and validation arrays are published a single time into a
     :class:`~repro.importance.shm.SharedArrayBundle`; workers rebuild the
     utility around zero-copy read-only views and keep a process-local
     subset cache that persists across waves, runs, and even across
@@ -333,17 +334,23 @@ class WorkerPool:
     chunk_timeout_s, hang_factor, max_chunk_retries, max_worker_restarts:
         Supervision knobs, exactly as on the engine.
     hang_floor_s:
-        Minimum adaptive hang deadline. A persistent pool observes wildly
+        Minimum adaptive hang deadline. A pool observes wildly
         heterogeneous chunk latencies — sub-millisecond warmup pings and
         warm-cache chunks next to multi-second cold model fits — so the
-        per-run default floor would flag ordinary cold chunks as hung
-        whenever the recent window happens to be fast. Five seconds keeps
-        genuine infinite hangs detected without ever tripping on the
-        warm-to-cold latency cliff.
+        :class:`DeadlinePolicy` default floor would flag ordinary cold
+        chunks as hung whenever the recent window happens to be fast.
+        Five seconds keeps genuine infinite hangs detected without ever
+        tripping on the warm-to-cold latency cliff.
     chaos:
         Optional ChaosMonkey forwarded into workers (fork mode, or spawn
         when picklable) for fault-injection tests.
     """
+
+    #: Whether the pool opens an ``engine.pool.lifecycle`` span while
+    #: tracing. The engine's per-run pools do not: the run's own span
+    #: covers their life, and the driver's span skeleton must not depend
+    #: on the worker count.
+    traces_lifecycle = True
 
     def __init__(
         self,
@@ -433,7 +440,7 @@ class WorkerPool:
         self._on_event_extra: Callable[[str, int, int], None] | None = None
 
         self._span = None
-        if _obs.enabled():
+        if _obs.enabled() and self.traces_lifecycle:
             self._span = _obs.span(
                 "engine.pool.lifecycle",
                 n_workers=self.n_workers,
@@ -864,8 +871,9 @@ class valuation_pool:
 
     Inside the block, every :class:`ValuationEngine` built with
     ``n_workers > 1`` (including via the ``nde.*_values`` facades and the
-    service runtime) leases its fleet from the registry instead of forking
-    per run — and engines over the same dataset share one warm pool::
+    service runtime) leases its fleet from the registry instead of opening
+    a per-run pool — and engines over the same dataset share one warm
+    pool::
 
         with nde.valuation_pool(n_workers=4):
             shap = nde.shapley_values(train_df, validation=valid_df,

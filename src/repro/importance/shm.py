@@ -1,9 +1,9 @@
 """Shared-memory data plane for the valuation engine's worker pool.
 
-The fork-per-run fan-out this module replaces paid its dataset tax on
-every call: each forked fleet inherited (copy-on-write) the training and
-validation arrays, the utility closure, and a snapshot of the subset
-cache, and a *restarted* worker re-forked the whole address space again.
+A fan-out that forks a fresh fleet per call pays its dataset tax on
+every call: each forked fleet inherits (copy-on-write) the training and
+validation arrays, the utility closure, and the subset cache, and a
+*restarted* worker re-forks the whole address space again.
 :class:`SharedArrayBundle` moves the immutable arrays out of any single
 process's address space into named POSIX shared memory
 (:mod:`multiprocessing.shared_memory`), where they are published exactly

@@ -1,24 +1,24 @@
-"""Worker supervision for the valuation engine's chunk fan-out.
+"""Worker supervision for every process fan-out in the package.
 
-The engine's original fan-out was a bare ``multiprocessing.Pool.map``: one
-crashed worker (a segfault in a native kernel, an OOM kill, an injected
-``os._exit``) tears down the whole valuation run, and one hung worker (a
-stuck I/O call, a pathological retraining) blocks it forever. Both failure
-modes are routine at the scale the Identify track runs at — thousands of
-model retrainings across long-lived processes — and both are *recoverable*,
+Identify-track valuation runs thousands of model retrainings across
+long-lived processes, where one crashed worker (a segfault in a native
+kernel, an OOM kill, an injected ``os._exit``) or one hung worker (a stuck
+I/O call, a pathological retraining) is routine. Both are *recoverable*,
 because the engine's chunks are deterministic: every chunk is a slice of
 pre-drawn permutation orderings (or subset keys), so re-executing it on a
 fresh worker reproduces the same floats.
 
-:class:`ChunkDispatcher` is the supervised replacement. Each worker is a
-forked process joined to the driver by a dedicated pipe; the driver assigns
-one chunk at a time and watches for three signals:
+:class:`ChunkDispatcher` starts every worker process in the package: the
+fleets of :class:`~repro.importance.pool.WorkerPool` (which the valuation
+engine fans out on) and the per-call fleet of
+:func:`~repro.importance.engine.parallel_map`. Each worker is joined to
+the driver by a dedicated pipe; the driver assigns one chunk at a time and
+watches for three signals:
 
 - a **result** on the pipe — the chunk is done; its latency feeds the
   deadline estimator;
 - a **crash** — the pipe hits EOF or the process stops being alive; the
-  worker is restarted (a fresh fork inherits the driver's current state)
-  and the in-flight chunk is re-queued;
+  worker is restarted and the in-flight chunk is re-queued;
 - a **hang** — the chunk exceeds its deadline, derived from observed
   chunk-latency quantiles (:class:`DeadlinePolicy`); the worker is killed,
   restarted, and the chunk re-queued.
@@ -29,7 +29,9 @@ chunk), and total restarts are capped by ``max_worker_restarts`` so a
 crash-looping fleet fails loudly instead of forking forever. Results are
 returned in chunk order, so the engine's merge — and therefore the returned
 values — stays bit-identical to serial execution whatever crashed, hung, or
-was retried along the way.
+was retried along the way. Workers also watch the driver: one killed
+outright (``kill -9``) cannot send the shutdown message, so each worker
+exits once it sees it has been re-parented.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ _SHUTDOWN = None
 #: between liveness/deadline sweeps. Small enough that hang detection is
 #: prompt, large enough that a healthy fleet burns no measurable CPU.
 _POLL_INTERVAL_S = 0.02
+
+#: How often an idle worker checks that its driver is still alive.
+_PARENT_POLL_S = 0.5
 
 
 class ChunkFailure(RuntimeError):
@@ -142,11 +147,13 @@ class DeadlinePolicy:
         return max(self.floor_s, self.factor * estimate)
 
 
-def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None:
-    """Task loop run inside each forked worker.
+def _worker_loop(
+    conn, state: dict, task_fn: Callable[[dict, Any], Any], driver_end=None
+) -> None:
+    """Task loop run inside each worker.
 
-    ``state`` and ``task_fn`` arrive by fork inheritance (no pickling), so
-    utilities may hold arbitrary closures. Messages are
+    Under fork, ``state`` and ``task_fn`` arrive by inheritance (no
+    pickling), so utilities may hold arbitrary closures. Messages are
     ``(chunk_id, chunk_ord, attempt, payload)``; replies are
     ``(chunk_id, result)`` — or ``(chunk_id, result, telemetry_delta)``
     when telemetry is on, piggybacking the worker's spans and metric
@@ -157,11 +164,25 @@ def _worker_main(conn, state: dict, task_fn: Callable[[dict, Any], Any]) -> None
     task is deliberately *not* caught: an exception here is a bug in
     deterministic engine code, and the resulting abnormal exit is exactly
     what the driver supervises.
+
+    The loop also ends when the driver dies. A forked worker inherits the
+    driver's end of its own pipe (``driver_end``, closed here) and of every
+    pipe opened before it, so a dead driver need not produce EOF; the
+    worker therefore exits once its parent pid changes.
     """
+    if driver_end is not None:
+        driver_end.close()
+    parent = os.getppid()
     chaos = state.get("chaos")
     capture: _obs_trace.WorkerTelemetry | None = None
     while True:
-        message = conn.recv()
+        while not conn.poll(_PARENT_POLL_S):
+            if os.getppid() != parent:
+                return
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
         if message is _SHUTDOWN:
             conn.close()
             return
@@ -198,19 +219,20 @@ class _Worker:
 
 
 class ChunkDispatcher:
-    """Supervised fan-out of deterministic chunks over forked workers.
+    """Supervised fan-out of deterministic chunks over worker processes.
 
     Parameters
     ----------
     ctx:
-        A fork-capable :mod:`multiprocessing` context.
+        A :mod:`multiprocessing` context. Under ``fork`` workers inherit
+        ``state`` and ``task_fn``; under ``spawn`` both must pickle.
     n_workers:
         Size of the worker fleet.
     state:
-        Shared read-only state inherited by every worker at fork time (the
-        engine's utility, cache snapshot, orderings, ...). A *restarted*
-        worker forks from the driver's current state, which may include a
-        warmer cache — harmless, because chunk results are deterministic.
+        Shared read-only state every worker starts from (a pool's utility
+        or shared-memory spec, a map's function and items, ...). A
+        *restarted* worker starts from the driver's current state —
+        harmless, because chunk results are deterministic.
     task_fn:
         ``task_fn(state, payload) -> result``; must be safe to re-execute.
     deadline:
@@ -235,10 +257,6 @@ class ChunkDispatcher:
         (re)starts in fleet position ``slot`` — restarts included, so
         pool-side per-worker state (cache watermarks, liveness gauges) can
         reset exactly when the process forgets everything.
-    worker_main:
-        Replacement for the default worker task loop; must accept
-        ``(conn, state, task_fn)``. With a spawn-based context this — and
-        ``state``/``task_fn`` — must be picklable.
     telemetry_sink:
         Optional ``telemetry_sink(items)`` receiving every telemetry delta
         workers piggybacked on their replies during one :meth:`dispatch`
@@ -261,7 +279,6 @@ class ChunkDispatcher:
         on_event: Callable[[str, int, int], None] | None = None,
         payload_hook: Callable[[int, Any], Any] | None = None,
         on_worker_start: Callable[[int], None] | None = None,
-        worker_main: Callable[..., None] | None = None,
         telemetry_sink: Callable[[list[tuple[int, int, Any]]], None] | None = None,
     ) -> None:
         if n_workers < 1:
@@ -277,7 +294,6 @@ class ChunkDispatcher:
         self._on_event = on_event
         self._payload_hook = payload_hook
         self._on_worker_start = on_worker_start
-        self._worker_main = worker_main if worker_main is not None else _worker_main
         self._telemetry_sink = telemetry_sink
         self._telemetry_pending: dict[int, tuple[int, Any]] = {}
         self._workers: list[_Worker] = []
@@ -290,9 +306,15 @@ class ChunkDispatcher:
 
     def _spawn(self, slot: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        forked = self._ctx.get_start_method() == "fork"
         proc = self._ctx.Process(
-            target=self._worker_main,
-            args=(child_conn, self._state, self._task_fn),
+            target=_worker_loop,
+            args=(
+                child_conn,
+                self._state,
+                self._task_fn,
+                parent_conn if forked else None,
+            ),
             daemon=True,
         )
         proc.start()

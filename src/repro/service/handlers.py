@@ -76,7 +76,7 @@ def make_valuation_handler(
         ):
             # Sequential jobs over the same dataset fingerprint land on
             # one warm shared-memory fleet instead of forking per run.
-            # An unpoolable utility just keeps the per-run fan-out.
+            # An unpoolable utility falls back to a per-run pool.
             try:
                 engine.use_pool(
                     registry.lease(engine.utility, engine.n_workers)

@@ -149,8 +149,8 @@ class JobRuntime:
     pool:
         Warm worker pools for valuation jobs. An ``int`` builds a
         :class:`~repro.importance.pool.PoolRegistry` with that fleet size;
-        a registry is used as-is; ``None`` disables pooling (per-run
-        fork fan-out). Pools are keyed by dataset fingerprint, so
+        a registry is used as-is; ``None`` disables pooling (each job
+        opens a per-run pool). Pools are keyed by dataset fingerprint, so
         sequential jobs over the same data share one long-lived
         shared-memory fleet; :meth:`stop` closes every runtime-owned pool.
     chaos:

@@ -8,6 +8,8 @@ retraining games, where the engine's canonical sorted-index evaluation
 order can flip low bits of the model fit).
 """
 
+import os
+import threading
 from itertools import chain, combinations
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.importance import (
     shapley_brute_force,
     shapley_mc,
 )
+from repro.importance.engine import _FORK_CTX
 from repro.learn import LogisticRegression
 
 # --------------------------------------------------------------------- #
@@ -430,3 +433,24 @@ class TestParallelMap:
         state = {"offset": 10}
         func = lambda x: x + state["offset"]  # noqa: E731
         assert parallel_map(func, [1, 2, 3], n_workers=2) == [11, 12, 13]
+
+    @pytest.mark.skipif(_FORK_CTX is None, reason="requires fork")
+    def test_forked_workers_run_unpicklable_closures(self):
+        lock = threading.Lock()  # pickling this closure would fail
+
+        def func(x):
+            with lock:
+                return x, os.getpid()
+
+        out = parallel_map(func, list(range(6)), n_workers=2)
+        assert [x for x, __ in out] == list(range(6))
+        assert os.getpid() not in {pid for __, pid in out}
+
+    def test_worker_exception_reaches_caller_as_itself(self):
+        def func(x):
+            if x == 5:
+                raise ValueError(f"bad item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="bad item 5"):
+            parallel_map(func, list(range(8)), n_workers=2)

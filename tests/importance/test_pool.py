@@ -13,6 +13,7 @@ driver), and the pool's lifecycle is visible in metrics and the ledger.
 from __future__ import annotations
 
 import gc
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -36,6 +37,7 @@ from repro.importance import (
     valuation_pool,
 )
 from repro.importance.checkpoint import CheckpointStore
+from repro.importance.supervision import ChunkFailure
 from repro.importance.pool import (
     PoolRegistry,
     active_map_pool,
@@ -166,10 +168,10 @@ class TestBitIdentity:
         assert pool_u.n_evaluations == serial_u.n_evaluations
 
     @needs_fork
-    def test_legacy_fork_census_matches_serial(self):
+    def test_per_run_pool_census_matches_serial(self):
         """The historical drift (serial 632 vs parallel 633 evaluations)
-        is fixed for the per-run fork path too: duplicate subsets
-        evaluated by independent workers are charged once."""
+        is fixed for the per-run pool too: duplicate subsets evaluated by
+        independent workers are charged once."""
         serial_u = saturating_game(n=8, seed=5)
         ValuationEngine(serial_u).run_permutations(30, seed=11)
         fork_u = saturating_game(n=8, seed=5)
@@ -582,6 +584,127 @@ class TestRecovery:
             resumed = engine.run_permutations(60, seed=5, check_every=5)
         assert resumed.resumed_from == snapshot["completed"]
         assert np.array_equal(resumed.values(), uninterrupted.values())
+
+
+# ---------------------------------------------------------------------- #
+# resource hygiene                                                       #
+# ---------------------------------------------------------------------- #
+
+
+class _CrashAlways:
+    """Chaos stand-in whose every chunk dies on every attempt."""
+
+    def apply_worker_fault(self, chunk_ord, attempt):
+        os._exit(1)
+
+
+def _shm_segments() -> set[str]:
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+_HYGIENE_SUBSETS = [[0, 1], [2, 3, 4], [1, 5], [0, 1], [6, 7]]
+
+
+@needs_fork
+class TestResourceHygiene:
+    @pytest.mark.parametrize(
+        "make, mode", [(saturating_game, "fork"), (small_utility, "shm-fork")]
+    )
+    def test_per_run_pool_leaves_no_child_or_segment(self, make, mode):
+        children = {c.pid for c in mp.active_children()}
+        segments = _shm_segments()
+        ledger = _LedgerStub()
+        engine = ValuationEngine(make(), n_workers=2, ledger=ledger)
+        run = engine.run_permutations(6, seed=0)
+        values = engine.evaluate_many(_HYGIENE_SUBSETS)
+        assert [c for c in mp.active_children() if c.pid not in children] == []
+        assert _shm_segments() - segments == set()
+        assert engine._pool is None  # a per-run pool is never stored
+        serial = ValuationEngine(make())
+        assert np.array_equal(run.values(), serial.run_permutations(6, seed=0).values())
+        assert np.array_equal(values, serial.evaluate_many(_HYGIENE_SUBSETS))
+        (kind, fields), = ledger.events  # no "pool" event: no pool ledger
+        assert kind == "valuation"
+        assert fields["config"]["pool_mode"] == mode
+
+    @pytest.mark.parametrize("make", [saturating_game, small_utility])
+    def test_failed_per_run_pool_leaves_no_child_or_segment(self, make):
+        children = {c.pid for c in mp.active_children()}
+        segments = _shm_segments()
+        engine = ValuationEngine(
+            make(), n_workers=2, chaos=_CrashAlways(), max_chunk_retries=1
+        )
+        with pytest.raises(ChunkFailure):
+            engine.run_permutations(6, seed=0)
+        with pytest.raises(ChunkFailure):
+            engine.evaluate_many(_HYGIENE_SUBSETS)
+        assert [c for c in mp.active_children() if c.pid not in children] == []
+        assert _shm_segments() - segments == set()
+
+    def test_kill_minus_nine_of_driver_takes_its_workers_down(self):
+        """A SIGKILLed driver cannot shut its fleets down, and each forked
+        worker inherits pipe ends that keep it from seeing EOF. Workers of
+        both pools must notice the dead parent and exit on their own."""
+        script = textwrap.dedent(
+            """
+            import time
+            from repro.datasets import make_classification
+            from repro.importance import Utility, valuation_pool
+            from repro.learn import LogisticRegression
+
+            def utility(seed):
+                X, y = make_classification(n=48, n_features=3, seed=seed)
+                return Utility(LogisticRegression(max_iter=20), X[:36],
+                               y[:36], X[36:], y[36:])
+
+            with valuation_pool(n_workers=2, max_pools=2) as registry:
+                pools = [registry.lease(utility(seed)) for seed in (11, 12)]
+                pids = [w.proc.pid for pool in pools
+                        for w in pool.dispatcher._workers]
+                print("PIDS=" + ",".join(map(str, pids)), flush=True)
+                time.sleep(120)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH="src")
+        child = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            line = child.stdout.readline()
+            pids = [int(p) for p in line.strip().split("PIDS=")[1].split(",")]
+            assert len(pids) == 4 and all(_pid_alive(pid) for pid in pids)
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(map(_pid_alive, pids)):
+                time.sleep(0.05)
+            assert [pid for pid in pids if _pid_alive(pid)] == []
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------- #
