@@ -26,18 +26,36 @@ supervised process fan-out
     *crashes* (abnormal exit) and *hangs* (per-chunk deadlines derived
     from observed chunk-latency quantiles), restarts dead workers, and
     re-queues their unfinished chunks. Because every chunk is a slice of
-    pre-drawn orderings, re-execution is deterministic, and results are
+    orderings the driver drew, re-execution is deterministic, and results are
     merged **in chunk order** — so the floating-point accumulation
     sequence, and therefore the returned values, is bit-identical for any
     worker count, any pool, and any crash/retry history.
 
 deterministic seeding
-    All permutation orderings are pre-drawn in the driver from the single
-    ``np.random.default_rng(seed)`` stream (the same stream the legacy
-    serial estimators consumed), instead of per-worker spawned substreams.
-    This is strictly stronger than substream seeding: the sampled orderings
-    match the pre-engine implementations bit-for-bit *and* are independent
-    of how they are later sharded across workers.
+    All permutation orderings are drawn in the driver, wave by wave, from
+    the single ``np.random.default_rng(seed)`` stream (the same stream the
+    legacy serial estimators consumed), instead of per-worker spawned
+    substreams. This is strictly stronger than substream seeding: the
+    sampled orderings match the pre-engine implementations bit-for-bit
+    *and* are independent of how they are later sharded across workers,
+    of wave size, and of where a resumed run picks the stream up. A run
+    stopped by its deadline has drawn only the waves it scanned.
+
+permutation-scan kernels
+    A utility may offer ``scan(ordering)``: an iterator yielding
+    ``v(ordering[:1])``, ``v(ordering[:2])``, … in order, each value equal
+    to ``evaluate`` on the sorted prefix. Permutation scans (serial and in
+    pool workers alike) consume it when present and fall back to one
+    memoized ``evaluate`` per prefix otherwise; truncation simply stops
+    consuming it. :class:`~repro.importance.utility.Utility` provides one
+    for exact ``KNeighborsClassifier`` models, reading every prefix off a
+    distance matrix computed once. A kernel scan neither reads nor writes
+    the :class:`SubsetCache`, and every prefix it yields counts as one
+    evaluation — single-class prefixes included, as in ``evaluate``;
+    ``v(∅)`` and ``v(N)`` still go through the memo. A kernel run's census
+    can therefore sit a few evaluations above a memoized one (a prefix
+    that repeats across orderings is paid again), while serial, pooled
+    and resumed runs still agree with each other exactly.
 
 checkpoint / resume
     With ``checkpoint=`` set, the engine snapshots its accumulator state —
@@ -83,7 +101,8 @@ import warnings
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -285,6 +304,7 @@ class ValuationResult:
 
 
 def _scan_orderings(
+    utility: Any,
     evaluate: Callable[[tuple[int, ...]], float],
     orderings: Sequence[np.ndarray],
     weights: np.ndarray,
@@ -297,15 +317,20 @@ def _scan_orderings(
     The incremental-prefix loop replicates the legacy estimators exactly:
     ``prev`` starts at ``v(∅)`` and a scan stops early once the running
     utility is within ``truncation_tolerance`` of ``v(N)`` (the remaining
-    points keep a zero marginal for that permutation).
+    points keep a zero marginal for that permutation). Prefix utilities
+    come from ``utility.scan(order)`` when the utility has a
+    permutation-scan kernel, else from ``evaluate`` on each sorted prefix;
+    both are pulled one step at a time, so truncation stops consuming them.
+    This is the one place the serial driver and pool workers scan.
     """
+    scan = getattr(utility, "scan", None)
     n = len(weights)
     deltas = np.zeros((len(orderings), n))
     truncated = 0
     for p, order in enumerate(orderings):
         prev = null
-        prefix: list[int] = []
         row = deltas[p]
+        values = scan(order) if scan is not None else _prefix_values(evaluate, order)
         for step, i in enumerate(order):
             if (
                 truncation_tolerance > 0.0
@@ -314,12 +339,38 @@ def _scan_orderings(
             ):
                 truncated += 1
                 break
-            i = int(i)
-            insort(prefix, i)
-            current = evaluate(tuple(prefix))
+            current = next(values)
             row[i] = weights[step] * (current - prev)
             prev = current
     return deltas, truncated
+
+
+def _prefix_values(
+    evaluate: Callable[[tuple[int, ...]], float], order: np.ndarray
+) -> Iterator[float]:
+    """``evaluate`` on each sorted prefix of ``order``, lazily."""
+    prefix: list[int] = []
+    for i in order:
+        insort(prefix, int(i))
+        yield evaluate(tuple(prefix))
+
+
+def _ordering_stream(n: int, seed: int, antithetic: bool) -> Iterator[np.ndarray]:
+    """Permutation orderings drawn on demand from ``default_rng(seed)``.
+
+    The stream is the one the legacy serial estimators consumed: one
+    ``permutation(n)`` per ordering, or with ``antithetic`` one per pair,
+    followed by its reverse. Slicing it wave by wave (a pair may straddle
+    two waves) yields exactly the orderings drawing them all up front
+    would, and a deadline-bounded run never pays for orderings it does
+    not scan.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        base = rng.permutation(n)
+        yield base
+        if antithetic:
+            yield base[::-1].copy()
 
 
 class _PerRunPool(WorkerPool):
@@ -725,7 +776,6 @@ class ValuationEngine:
         started = time.perf_counter()
         evals_at_entry = int(self.utility.n_evaluations)
         supervision_before = self.supervision.to_dict()
-        orderings = self._draw_orderings(n_permutations, seed, antithetic)
 
         # -- checkpoint identity + resume ------------------------------- #
         store = self.checkpoint
@@ -867,6 +917,9 @@ class ValuationEngine:
         try:
             if not exhausted_at_entry:
                 executor, per_run = self._fan_out_pool(n_permutations - scanned)
+            # A resumed run picks the stream up after the orderings its
+            # snapshot already holds.
+            orderings = islice(_ordering_stream(n, seed, antithetic), scanned, None)
             start = scanned
             while start < n_permutations:
                 # Budgets already exhausted (e.g. a resumed run handed the
@@ -883,8 +936,8 @@ class ValuationEngine:
                 stop = min(start + wave, n_permutations)
                 with _obs.span("engine.wave", start=start, stop=stop) as wave_span:
                     deltas, wave_truncated = self._scan_range(
-                        orderings, start, stop, weights, truncation_tolerance,
-                        null, full, executor,
+                        list(islice(orderings, stop - start)), weights,
+                        truncation_tolerance, null, full, executor,
                     )
                     # Accumulate one permutation at a time so the FP summation
                     # order matches the serial path for every worker count.
@@ -1148,27 +1201,9 @@ class ValuationEngine:
             if planned is not None:
                 self.chaos.record_worker_fault(planned, chunk_ord)
 
-    def _draw_orderings(
-        self, n_permutations: int, seed: int, antithetic: bool
-    ) -> list[np.ndarray]:
-        """Pre-draw every ordering from the master stream (see module doc)."""
-        rng = np.random.default_rng(seed)
-        n = self.n_train
-        if not antithetic:
-            return [rng.permutation(n) for __ in range(n_permutations)]
-        orderings: list[np.ndarray] = []
-        while len(orderings) < n_permutations:
-            base = rng.permutation(n)
-            orderings.append(base)
-            if len(orderings) < n_permutations:
-                orderings.append(base[::-1].copy())
-        return orderings
-
     def _scan_range(
         self,
         orderings: Sequence[np.ndarray],
-        start: int,
-        stop: int,
         weights: np.ndarray,
         truncation_tolerance: float,
         null: float,
@@ -1177,8 +1212,9 @@ class ValuationEngine:
     ) -> tuple[np.ndarray, int]:
         if pool is None:
             return _scan_orderings(
-                lambda key: self.evaluate(key),
-                orderings[start:stop],
+                self.utility,
+                self.evaluate,
+                orderings,
                 weights,
                 truncation_tolerance,
                 null,
@@ -1187,13 +1223,13 @@ class ValuationEngine:
         # Stream chunk descriptors only: the orderings slice plus scan
         # knobs. The dataset crossed once, at pool creation; the driver's
         # cache warmth rides along as journal deltas.
-        bounds = _chunk_bounds(stop - start, self.n_workers * _CHUNKS_PER_WORKER)
+        bounds = _chunk_bounds(len(orderings), self.n_workers * _CHUNKS_PER_WORKER)
         results = self._dispatch(
             pool,
             [
                 {
                     "kind": "permutation",
-                    "orderings": orderings[start + a : start + b],
+                    "orderings": orderings[a:b],
                     "weights": weights,
                     "truncation_tolerance": truncation_tolerance,
                     "null": null,

@@ -10,7 +10,8 @@ the amortized substrate the Datascope line of work presupposes:
 
 :class:`WorkerPool`
     A supervised fleet whose setup is paid **once** per pool. The
-    training and validation arrays are published a single time into a
+    training and validation arrays (and a KNN utility's distance matrix)
+    are published a single time into a
     :class:`~repro.importance.shm.SharedArrayBundle`; workers rebuild the
     utility around zero-copy read-only views and keep a process-local
     subset cache that persists across waves, runs, and even across
@@ -108,7 +109,7 @@ def _rebuild_utility(state: dict) -> Any:
     with _obs.span("worker.attach", bundle=spec["bundle"].get("name")):
         bundle = SharedArrayBundle.attach(spec["bundle"])
         views = bundle.arrays
-    from .utility import Utility
+    from .utility import Utility, _knn_votes
 
     utility = Utility.__new__(Utility)
     utility.model = spec["model"]
@@ -119,6 +120,10 @@ def _rebuild_utility(state: dict) -> Any:
     utility.metric = spec["metric"]
     utility.null_score = float(spec["null_score"])
     utility.n_evaluations = 0
+    utility._knn = _knn_votes(
+        utility.model, utility.x_train, utility.y_train, utility.x_valid,
+        distances=views.get("distances"),
+    )
     # The bundle must outlive the views: park it on the utility.
     utility._shm_bundle = bundle
     return utility, time.perf_counter() - attach_started
@@ -184,6 +189,7 @@ def _pool_task(state: dict, payload: Mapping[str, Any]):
         from .engine import _scan_orderings
 
         deltas, truncated = _scan_orderings(
+            utility,
             evaluate,
             payload["orderings"],
             payload["weights"],
@@ -274,8 +280,9 @@ def utility_fingerprint(utility: Any) -> str:
 def _utility_spec(utility: Any) -> dict | None:
     """Picklable rebuild recipe for a standard utility, or None.
 
-    Requires the four dataset arrays to be shareable (fixed-itemsize numpy)
-    and the model/metric/chaos-free remainder to pickle. Non-standard
+    Requires the four dataset arrays (and a KNN utility's distance matrix,
+    which rides along) to be shareable (fixed-itemsize numpy) and the
+    model/metric/chaos-free remainder to pickle. Non-standard
     utilities (closures over arbitrary state) return None and ride on fork
     inheritance instead.
     """
@@ -284,6 +291,10 @@ def _utility_spec(utility: Any) -> dict | None:
     if not hasattr(utility, "model") or not hasattr(utility, "metric"):
         return None
     arrays = {key: getattr(utility, key) for key in _UTILITY_ARRAYS}
+    if getattr(utility, "distances", None) is not None:
+        # Published with the dataset: workers read the driver's matrix
+        # instead of recomputing it.
+        arrays["distances"] = utility.distances
     if not shareable_arrays(arrays):
         return None
     try:

@@ -293,6 +293,17 @@ class TestBudgetDegradation:
         assert np.all(np.isfinite(run.values()))
         assert np.all(np.isfinite(run.stderr()))
 
+    def test_deadline_does_not_pay_for_undrawn_orderings(self):
+        # Orderings are drawn wave by wave: a million-permutation target
+        # costs nothing up front, so the 50 ms budget goes to scanning.
+        started = time.perf_counter()
+        run = ValuationEngine(saturating_game()).run_permutations(
+            1_000_000, seed=5, deadline_s=0.05
+        )
+        assert time.perf_counter() - started < 1.0
+        assert run.stop_reason == "deadline"
+        assert run.n_permutations > 0
+
     def test_stderr_shrinks_as_budget_grows(self):
         # Budgets stay well below 2**10 = 1024, the point at which the memo
         # holds every subset of the 10-point game and evaluations stop.

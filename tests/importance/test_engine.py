@@ -10,7 +10,7 @@ order can flip low bits of the model fit).
 
 import os
 import threading
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from repro.importance import (
     shapley_brute_force,
     shapley_mc,
 )
-from repro.importance.engine import _FORK_CTX
+from repro.importance.engine import _FORK_CTX, _ordering_stream
 from repro.learn import LogisticRegression
 
 # --------------------------------------------------------------------- #
@@ -398,10 +398,30 @@ class TestAntithetic:
         assert np.allclose(estimate, exact, atol=0.12)
 
     def test_orderings_come_in_reversed_pairs(self):
-        engine = ValuationEngine(table_game(n=6))
-        orderings = engine._draw_orderings(6, seed=0, antithetic=True)
+        orderings = list(islice(_ordering_stream(6, seed=0, antithetic=True), 6))
         for base, mirror in zip(orderings[::2], orderings[1::2]):
             assert np.array_equal(base[::-1], mirror)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_wave_by_wave_draws_match_one_up_front_draw(self, antithetic):
+        """Waves of 3 split antithetic pairs across boundaries and a resumed
+        stream skips 5 orderings; both see the sequence that drawing all 9
+        orderings up front from the same generator gives."""
+        rng = np.random.default_rng(4)
+        up_front = []
+        while len(up_front) < 9:
+            up_front.append(rng.permutation(7))
+            if antithetic:
+                up_front.append(up_front[-1][::-1])
+        stream = _ordering_stream(7, seed=4, antithetic=antithetic)
+        waves = [o for __ in range(3) for o in islice(stream, 3)]
+        resumed = _ordering_stream(7, seed=4, antithetic=antithetic)
+        for __ in islice(resumed, 5):
+            pass
+        resumed = up_front[:5] + list(islice(resumed, 4))
+        for got in (waves, resumed):
+            assert len(got) == 9
+            assert all(np.array_equal(a, b) for a, b in zip(got, up_front))
 
     def test_worker_invariant(self):
         serial = shapley_mc(
