@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.special import softmax
 
+from ..learn.models.logistic import softmax
 from .base import ImportanceResult
 
 __all__ = ["aum_importance"]

@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.special import softmax
 
-from ..learn.models.logistic import LogisticRegression
+from ..learn.models.logistic import LogisticRegression, softmax
 from .base import ImportanceResult
 
 __all__ = ["influence_importance", "tracin_importance", "per_sample_gradients"]

@@ -6,6 +6,9 @@ probabilities, so miscalibrated scores silently corrupt query answers even
 when classification accuracy is fine. This module provides Platt scaling
 (logistic calibration on held-out scores) and the expected calibration
 error (ECE) diagnostic.
+
+Importing this module loads no scipy; :meth:`PlattCalibrator.fit` imports
+``scipy.optimize`` on its first call.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .base import Estimator
 from .models.logistic import sigmoid
@@ -94,6 +96,8 @@ class PlattCalibrator:
         return np.log(p / (1.0 - p))  # logit of the raw probability
 
     def fit(self, X: Any, y: Any) -> "PlattCalibrator":
+        from scipy.optimize import minimize_scalar  # deferred: no scipy at import
+
         scores = self._scores(X)
         targets = (np.asarray(y) == self.positive).astype(float)
 

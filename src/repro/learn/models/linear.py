@@ -4,6 +4,9 @@ These are the model classes for which the tutorial's "Learn" part provides
 guarantees: certain and approximately-certain models (Zhen et al. [92]) are
 defined for linear regression and SVMs, and
 :mod:`repro.uncertainty.certain_models` reuses the loss functions here.
+
+Importing this module loads no scipy; :meth:`LinearSVC.fit` imports
+``scipy.optimize`` on its first call.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..base import Estimator, check_matrix, check_xy
 
@@ -111,6 +113,8 @@ class LinearSVC(Estimator):
             self.intercept_ = 0.0
             return self
         y_signed = np.where(y == self.classes_[1], 1.0, -1.0)
+        from scipy.optimize import minimize  # deferred: no scipy at import
+
         result = minimize(
             squared_hinge_loss,
             np.zeros(X.shape[1] + 1),

@@ -5,6 +5,9 @@ and TracIn importance methods in :mod:`repro.importance` need its gradients
 and Hessian, and the Zorro-style uncertainty propagation reasons about its
 loss surface. The implementation keeps the loss/gradient functions module-
 level so those modules can reuse them directly.
+
+Importing this module loads no scipy: :meth:`LogisticRegression.fit`
+imports ``scipy.optimize`` on its first call, and :func:`softmax` is numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +15,22 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import softmax
 
 from ..base import Estimator, check_matrix, check_xy
 
-__all__ = ["LogisticRegression", "softmax_loss_grad", "sigmoid"]
+__all__ = ["LogisticRegression", "softmax", "softmax_loss_grad", "sigmoid"]
+
+
+def softmax(x: Any, axis: int | None = None) -> np.ndarray:
+    """``exp(x) / sum(exp(x))`` along ``axis`` (all entries when None).
+
+    The row maximum is subtracted first, exactly as ``scipy.special.softmax``
+    does, so large logits do not overflow and the result matches scipy's bit
+    for bit. A slice that is entirely ``-inf`` gives NaN, as in scipy.
+    """
+    x = np.asarray(x)
+    shifted = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return shifted / np.sum(shifted, axis=axis, keepdims=True)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -90,6 +103,8 @@ class LogisticRegression(Estimator):
             return self
         weight = None if sample_weight is None else np.asarray(sample_weight, float)
         x0 = np.zeros(n_classes * (X.shape[1] + 1))
+        from scipy.optimize import minimize  # deferred: no scipy at import
+
         result = minimize(
             softmax_loss_grad,
             x0,

@@ -6,12 +6,14 @@ pipeline run vs last week's): Kolmogorov–Smirnov tests on numeric columns,
 total-variation distance on categorical columns, and class-balance shift on
 the label. Out-of-distribution values are one of the error families in the
 paper's Figure 1; these checks are how a screening policy notices them.
+
+Importing this module loads no scipy; :func:`numeric_drift` imports
+``scipy.stats`` on its first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from ..frame import DataFrame
 from .inspections import Issue
@@ -47,6 +49,8 @@ def numeric_drift(
                 message=f"column {column!r}: too few values for a drift test",
             )
         ]
+    from scipy.stats import ks_2samp  # deferred: no scipy at import
+
     statistic, p_value = ks_2samp(a, b)
     if p_value < p_threshold:
         return [

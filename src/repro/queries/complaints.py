@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import softmax
 
 from ..frame import DataFrame
 from ..importance.influence import _hessian, per_sample_gradients
 from ..learn.base import clone
-from ..learn.models.logistic import LogisticRegression
+from ..learn.models.logistic import LogisticRegression, softmax
 from .predictive import PredictiveQuery
 
 __all__ = ["AggregateComplaint", "AggregateResolution", "resolve_aggregate_complaint"]

@@ -7,18 +7,24 @@ The library promises two strong determinism guarantees:
 * :class:`ValuationEngine` merges worker results in permutation order, so
   Monte-Carlo values are bit-identical for every ``n_workers``.
 
+The numpy :func:`softmax` that replaced ``scipy.special.softmax`` must match
+scipy bit for bit as well.
+
 Hypothesis drives both over random games; additive games additionally have
 a closed-form answer (the weights) the Monte-Carlo estimate must straddle.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.importance import shapley_mc
 from repro.importance.engine import ValuationEngine
 from repro.importance.knn_shapley import knn_shapley
 from repro.importance.utility import SubsetUtility
+from repro.learn.models.logistic import softmax
 
 seeds = st.integers(min_value=0, max_value=10_000)
 weight_lists = st.lists(
@@ -110,3 +116,29 @@ class TestEngineWorkerInvariance:
             ),
         )
         np.testing.assert_allclose(result.values, np.asarray(weights), atol=1e-9)
+
+
+logits = st.integers(min_value=1, max_value=2).flatmap(
+    lambda ndim: hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=6),
+        elements=st.one_of(
+            st.floats(min_value=-1e3, max_value=1e3), st.just(-np.inf)
+        ),
+    )
+)
+
+
+class TestSoftmaxMatchesScipy:
+    @given(x=logits, axis=st.sampled_from([None, 0, 1, -1]))
+    @example(x=np.array([[-np.inf, -np.inf], [1e3, -np.inf]]), axis=1)
+    @example(x=np.array([-1e3, 1e3, -np.inf]), axis=None)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, x, axis):
+        if axis == 1 and x.ndim == 1:
+            axis = 0
+        with np.errstate(invalid="ignore"):  # all -inf slices give NaN
+            ours = softmax(x, axis=axis)
+            reference = scipy.special.softmax(x, axis=axis)
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference, equal_nan=True)
